@@ -113,6 +113,10 @@ class ScheduleFabric:
             policy=policy,
         )
         self.tournament = TournamentAggregator(shards, space=fmt.capacity)
+        #: live tag count per shard, refreshed by :meth:`_sync_head` on
+        #: every mutation path, so routing and balance checks read it
+        #: without asking each store for its length
+        self._occupancy: List[int] = [0] * shards
         #: live tag count per flow id (drives rebalance planning)
         self._flow_live: Dict[int, int] = {}
         self.pushes = 0
@@ -132,10 +136,10 @@ class ScheduleFabric:
 
     def occupancies(self) -> List[int]:
         """Live tag count per shard (index-aligned with ``stores``)."""
-        return [len(store) for store in self.stores]
+        return list(self._occupancy)
 
     def __len__(self) -> int:
-        return sum(len(store) for store in self.stores)
+        return sum(self._occupancy)
 
     @property
     def operations(self) -> int:
@@ -194,10 +198,10 @@ class ScheduleFabric:
     # enqueue path
 
     def _sync_head(self, shard: int) -> int:
-        """Refresh one shard's tournament leaf from its head register."""
-        return self.tournament.update(
-            shard, self.stores[shard].circuit.peek_min()
-        )
+        """Refresh one shard's tournament leaf and cached occupancy."""
+        store = self.stores[shard]
+        self._occupancy[shard] = len(store)
+        return self.tournament.update(shard, store.circuit.peek_min())
 
     def _track_push(self, flow_id: int) -> None:
         self._flow_live[flow_id] = self._flow_live.get(flow_id, 0) + 1
@@ -230,9 +234,8 @@ class ScheduleFabric:
         migration's own per-shard remove/insert events, so trace ledgers
         reconcile op-for-op.
         """
-        occupancies = self.occupancies()
         plan = self.manager.plan_rebalance(
-            occupancies, self._flow_live, self.pushes + self.pops
+            self._occupancy, self._flow_live, self.pushes + self.pops
         )
         if plan is None:
             return {}
@@ -240,7 +243,7 @@ class ScheduleFabric:
             self._tracer.event(
                 "rebalance",
                 component=FABRIC_COMPONENT,
-                occupancies=occupancies,
+                occupancies=self.occupancies(),
                 **plan.to_dict(),
             )
         if not self.manager.policy.migrate_backlog:
@@ -268,7 +271,8 @@ class ScheduleFabric:
         moved_flows = {flow_id for flow_id, _ in plan.moves}
         source_store = self.stores[plan.source]
         target_store = self.stores[plan.target]
-        quota = max(0, (len(source_store) - len(target_store)) // 2)
+        occupancy = self._occupancy
+        quota = max(0, (occupancy[plan.source] - occupancy[plan.target]) // 2)
         base_source = plan.source * self.capacity_per_shard
         base_target = plan.target * self.capacity_per_shard
         # Snapshot the candidates before mutating: walk() is peek-only
@@ -281,7 +285,7 @@ class ScheduleFabric:
             )
             if flow_id in moved_flows:
                 candidates.append((address, finish_tag))
-        free = self.capacity_per_shard - len(target_store)
+        free = self.capacity_per_shard - occupancy[plan.target]
         relocations: Dict[int, int] = {}
         migrated = 0
         skipped = 0
@@ -338,7 +342,7 @@ class ScheduleFabric:
         """
         if payload is None:
             payload = flow_id
-        shard, spilled = self.manager.route(flow_id, self.occupancies())
+        shard, spilled = self.manager.route(flow_id, self._occupancy)
         local = self.stores[shard].push(finish_tag, (flow_id, payload))
         self._track_push(flow_id)
         self.pushes += 1
@@ -413,8 +417,10 @@ class ScheduleFabric:
             for shard, group in enumerate(groups):
                 if not group:
                     continue
-                self.stores[shard].push_batch(group)
-                self._sync_head(shard)
+                try:
+                    self.stores[shard].push_batch(group)
+                finally:
+                    self._sync_head(shard)
                 if traced:
                     self._tracer.event(
                         "shard_enqueue",
@@ -744,6 +750,7 @@ class ScheduleFabric:
         self._flow_live = {
             int(flow_id): int(live) for flow_id, live in state["flow_live"]
         }
+        self._occupancy = [len(store) for store in self.stores]
         self.tournament.rebuild(
             [store.circuit.peek_min() for store in self.stores]
         )

@@ -180,8 +180,11 @@ class AdmissionController:
         """Evaluate and, on success, commit the SLA."""
         decision = self.evaluate(sla)
         if decision.admitted:
+            # Convert before committing anything: a rate Fraction cannot
+            # hold (NaN, infinity) raises with the admitted set untouched.
+            committed = self._committed + Fraction(sla.guaranteed_rate_bps)
             self._admitted[sla.flow_id] = sla
-            self._committed += Fraction(sla.guaranteed_rate_bps)
+            self._committed = committed
         return decision
 
     def release(self, flow_id: int) -> None:

@@ -16,6 +16,7 @@ leans on), so a tag echoed by the server re-submits bit-identically in a
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Dict, Optional, Tuple
 
 #: protocol revision, reported by ``hello`` and stamped into snapshots
@@ -29,11 +30,14 @@ class ProtocolDecodeError(ValueError):
 # ----------------------------------------------------------------------
 # codec
 
+#: the one wire encoder (compact, sorted keys), built once rather than
+#: per message as ``json.dumps`` with non-default options would
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+
+
 def encode(message: Dict[str, Any]) -> bytes:
     """One message → one wire line (compact JSON + newline)."""
-    return (
-        json.dumps(message, separators=(",", ":"), sort_keys=True) + "\n"
-    ).encode("utf-8")
+    return (_ENCODER.encode(message) + "\n").encode("utf-8")
 
 
 def decode_line(line: bytes) -> Dict[str, Any]:
@@ -58,7 +62,10 @@ def decode_line(line: bytes) -> Dict[str, Any]:
 # verb schemas
 
 def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite int or float (the decoder admits ``NaN``/``Infinity``)."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value)
 
 
 def _is_int(value: Any) -> bool:

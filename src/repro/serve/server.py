@@ -29,8 +29,9 @@ import json
 import signal
 import sys
 import time
+import traceback
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set
 
 from ..core.engine import resolve_mode
 from ..core.words import PAPER_FORMAT, WordFormat
@@ -58,6 +59,10 @@ from .protocol import (
 #: must be frozen up front from the lightest *admissible* weight)
 GRANULARITY_HEADROOM = 128
 MAX_PACKET_BYTES = 1500
+
+#: longest request line the transport buffers (newline excluded); a
+#: longer line is answered with one error and skipped through its newline
+MAX_LINE_BYTES = 64 * 1024
 
 
 def derive_granularity(
@@ -576,6 +581,85 @@ class ServeEngine:
         self.system.close()
 
 
+class _LineProtocol(asyncio.Protocol):
+    """One client connection: split request lines, write responses.
+
+    Lines are cut in :meth:`data_received` and each is answered with a
+    single ``transport.write`` — no per-request coroutine, stream
+    reader, or drain await.  Flow control rides on the transport: while
+    the client leaves responses unread past the write buffer's high
+    mark, reading pauses, so a pipelining client cannot grow the
+    server's buffers without bound.
+    """
+
+    def __init__(self, server: "WfqServer") -> None:
+        self._server = server
+        self._transport: Optional[asyncio.Transport] = None
+        self._pending = b""
+        #: inside an overlong line already answered; drop to its newline
+        self._discarding = False
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        self._server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self._server._connections.discard(self)
+        self._transport = None
+
+    def pause_writing(self) -> None:
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._transport.resume_reading()
+
+    def close(self) -> None:
+        if self._transport is not None:
+            self._transport.close()
+
+    def data_received(self, data: bytes) -> None:
+        pending = self._pending + data if self._pending else data
+        start = 0
+        while not self._transport.is_closing():
+            end = pending.find(b"\n", start)
+            if end < 0:
+                break
+            line = pending[start:end]
+            start = end + 1
+            if self._discarding:
+                self._discarding = False
+            elif len(line) > MAX_LINE_BYTES:
+                self._reject_overlong()
+            else:
+                self._server._serve_line(self, line)
+        pending = pending[start:]
+        if self._discarding:
+            pending = b""
+        elif len(pending) > MAX_LINE_BYTES:
+            self._reject_overlong()
+            self._discarding = True
+            pending = b""
+        self._pending = pending
+
+    def eof_received(self) -> bool:
+        # Like readline() at EOF: an unterminated final line still counts.
+        if self._pending and not self._discarding:
+            self._server._serve_line(self, self._pending)
+        self._pending = b""
+        return False
+
+    def write(self, message: Dict[str, Any]) -> None:
+        self._transport.write(encode(message))
+
+    def _reject_overlong(self) -> None:
+        self.write(
+            {
+                "ok": False,
+                "reason": f"request line exceeds {MAX_LINE_BYTES} bytes",
+            }
+        )
+
+
 class WfqServer:
     """The asyncio front end around one :class:`ServeEngine`."""
 
@@ -596,6 +680,7 @@ class WfqServer:
         self._tracer = None
         self._suite = None
         self._drain_task: Optional[asyncio.Task] = None
+        self._connections: Set[_LineProtocol] = set()
 
     # ------------------------------------------------------------------
 
@@ -609,38 +694,42 @@ class WfqServer:
     def _stopping(self) -> bool:
         return self._shutdown_flag
 
-    async def _handle_client(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _serve_line(self, connection: _LineProtocol, line: bytes) -> None:
+        """Answer one request line on ``connection``.
+
+        Every failure is a response: a line that does not decode, and an
+        engine fault while handling a valid one, both answer with an
+        error and keep the connection open; a fault's traceback goes to
+        stderr.  ``decode_line`` and
+        ``encode`` are looked up as module globals on every call, so a
+        tracer can wrap them after import.
+        """
+        if self._stopping:
+            connection.close()
+            return
+        line = line.strip()
+        if not line:
+            return
         try:
-            while not self._stopping:
-                line = await reader.readline()
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    request = decode_line(line)
-                except ProtocolDecodeError as exc:
-                    writer.write(encode({"ok": False, "reason": str(exc)}))
-                    await writer.drain()
-                    continue
-                response = self.engine.handle_request(request)
-                writer.write(encode(response))
-                await writer.drain()
-                if request.get("op") in self.engine.MUTATING:
-                    self._maybe_snapshot()
-                if self.engine.shutdown_requested:
-                    self.request_shutdown()
-                    break
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
+            request = decode_line(line)
+        except ProtocolDecodeError as exc:
+            connection.write({"ok": False, "reason": str(exc)})
+            return
+        engine = self.engine
+        try:
+            response = engine.handle_request(request)
+        except Exception as exc:
+            traceback.print_exc()
+            engine.counters["errors"] += 1
+            response = error_response(
+                request, f"internal error: {type(exc).__name__}: {exc}"
+            )
+        connection.write(response)
+        if request.get("op") in engine.MUTATING:
+            self._maybe_snapshot()
+        if engine.shutdown_requested:
+            self.request_shutdown()
+            connection.close()
 
     def _maybe_snapshot(self) -> None:
         if (
@@ -785,11 +874,11 @@ class WfqServer:
         if self._shutdown_flag:
             self._shutdown.set()
         self.attach_live_plane()
-        self._server = await asyncio.start_server(
-            self._handle_client, self.config.host, self.config.port
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _LineProtocol(self), self.config.host, self.config.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
                 loop.add_signal_handler(signum, self.request_shutdown)
@@ -816,6 +905,8 @@ class WfqServer:
             if self._drain_task is not None:
                 self._drain_task.cancel()
             self._server.close()
+            for connection in list(self._connections):
+                connection.close()
             await self._server.wait_closed()
             if self.config.snapshot_path is not None:
                 self.engine.snapshot()

@@ -102,7 +102,9 @@ class SessionManager:
         On admission the flow is registered on the scheduler at its SLA
         weight and provisioned in the session table; a table-capacity
         failure rolls the admission back, so a rejected open never
-        leaks committed rate.
+        leaks committed rate.  An exception raised inside admission is
+        re-raised after the same rollback, so it never blocks a later
+        open of the same flow.
         """
         try:
             sla = ServiceLevelAgreement(
@@ -115,7 +117,15 @@ class SessionManager:
         except ConfigurationError as exc:
             self.rejected += 1
             return AdmissionDecision(admitted=False, reason=str(exc))
-        decision = self.admission.admit(sla)
+        try:
+            decision = self.admission.admit(sla)
+        except Exception:
+            # Roll back a half-recorded SLA, or the flow stays blocked
+            # with "already has an SLA" for the life of the server.
+            if flow_id in self.admission.admitted_slas():
+                self.admission.release(flow_id)
+            self.rejected += 1
+            raise
         if not decision.admitted:
             self.rejected += 1
             return decision

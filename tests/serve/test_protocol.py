@@ -1,5 +1,8 @@
 """Wire protocol: codec round-trips and verb schema validation."""
 
+import json
+import math
+
 import pytest
 
 from repro.serve.protocol import (
@@ -35,6 +38,20 @@ class TestCodec:
     def test_non_object_rejected(self):
         with pytest.raises(ProtocolDecodeError):
             decode_line(b"[1,2,3]")
+
+    def test_wire_bytes_match_compact_sorted_dumps(self):
+        message = {
+            "ok": True,
+            "id": 9,
+            "served": [{"seq": 0, "flow": 2, "tag": 0.1 + 0.2, "size": 64}],
+            "reason": "caf\u00e9 \u2014 ok",
+            "z": None,
+            "a": [1.5e300, -0.0, 10**20],
+        }
+        expected = (
+            json.dumps(message, separators=(",", ":"), sort_keys=True) + "\n"
+        ).encode("utf-8")
+        assert encode(message) == expected
 
 
 class TestValidation:
@@ -99,6 +116,35 @@ class TestValidation:
             {"op": "enqueue", "flow": 1, "size": 64, "sise": 64}
         )
         assert "sise" in reason
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "request_",
+        [
+            {"op": "open", "tenant": "t", "flow": 1, "rate_bps": 2e6},
+            {"op": "open", "tenant": "t", "flow": 1, "rate_bps": 2e6,
+             "burst_bits": 0.0},
+            {"op": "open", "tenant": "t", "flow": 1, "rate_bps": 2e6,
+             "delay_target_s": 1.0},
+            {"op": "reschedule", "handle": 0, "tag": 1.0},
+        ],
+    )
+    def test_non_finite_numbers_rejected(self, request_, value):
+        numeric = [
+            name for name, field in request_.items()
+            if isinstance(field, float)
+        ]
+        for name in numeric:
+            reason = validate_request({**request_, name: value})
+            assert reason is not None and repr(name) in reason
+        # The decoder admits the non-standard literals; validation is the
+        # gate that stops them.
+        line = encode({**request_, numeric[-1]: value})
+        assert validate_request(decode_line(line)) is not None
+
+    def test_huge_ints_are_still_numbers(self):
+        request = {"op": "reschedule", "handle": 0, "tag": 10**400}
+        assert validate_request(request) is None
 
 
 class TestResponses:

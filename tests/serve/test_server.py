@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import socket
 import threading
 import time
 
@@ -385,6 +386,108 @@ class TestAsyncioServer:
             sock.sendall(b'{"op":"shutdown"}\n')
             sock.makefile().readline()
         assert done.wait(10)
+
+    def _connect(self, server):
+        sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
+        return sock, sock.makefile("rb")
+
+    def _shutdown(self, sock, reader, done):
+        sock.sendall(b'{"op":"shutdown"}\n')
+        assert json.loads(reader.readline())["ok"]
+        assert done.wait(10)
+        reader.close()
+        sock.close()
+
+    def test_nan_rate_open_is_an_error_response(self):
+        engine = ServeEngine(small_config())
+        server, done, result = self._serve_in_thread(engine)
+        sock, reader = self._connect(server)
+        sock.sendall(
+            b'{"op":"open","tenant":"t","flow":1,"rate_bps":NaN,"id":1}\n'
+        )
+        response = json.loads(reader.readline())
+        assert response == {
+            "ok": False,
+            "id": 1,
+            "reason": "open: field 'rate_bps' has an invalid value",
+        }
+        # Nothing leaked: the same flow opens cleanly on the same socket.
+        sock.sendall(
+            b'{"op":"open","tenant":"t","flow":1,"rate_bps":2e6,"id":2}\n'
+        )
+        assert json.loads(reader.readline())["admitted"]
+        assert engine.admission.admitted_count == engine.sessions.count == 1
+        self._shutdown(sock, reader, done)
+        assert result["status"] == 0
+
+    @pytest.mark.parametrize("chunk", [None, 4096])
+    def test_overlong_line_gets_one_error_and_connection_survives(
+        self, chunk
+    ):
+        from repro.serve.server import MAX_LINE_BYTES
+
+        engine = ServeEngine(small_config())
+        server, done, _ = self._serve_in_thread(engine)
+        sock, reader = self._connect(server)
+        line = b'{"op":"hello","pad":"' + b"x" * (70 * 1024) + b'"}\n'
+        assert len(line) > MAX_LINE_BYTES
+        if chunk is None:
+            sock.sendall(line)
+        else:
+            # Dribbled in small writes: the limit trips mid-line and the
+            # rest must be discarded across later reads.
+            for start in range(0, len(line), chunk):
+                sock.sendall(line[start:start + chunk])
+                time.sleep(0.001)
+        sock.sendall(b'{"op":"hello","id":"after"}\n')
+        error = json.loads(reader.readline())
+        assert not error["ok"]
+        assert str(MAX_LINE_BYTES) in error["reason"]
+        hello = json.loads(reader.readline())
+        assert hello["ok"] and hello["id"] == "after"
+        self._shutdown(sock, reader, done)
+
+    def test_engine_fault_is_an_error_response(self, monkeypatch):
+        engine = ServeEngine(small_config())
+
+        def broken(request):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(engine._dispatch, "stats", broken)
+        server, done, _ = self._serve_in_thread(engine)
+        sock, reader = self._connect(server)
+        sock.sendall(b'{"op":"stats","id":3}\n')
+        response = json.loads(reader.readline())
+        assert not response["ok"] and response["id"] == 3
+        assert "boom" in response["reason"]
+        sock.sendall(b'{"op":"hello"}\n')
+        assert json.loads(reader.readline())["ok"]
+        self._shutdown(sock, reader, done)
+
+    def test_pipelined_lines_answer_in_order(self):
+        engine = ServeEngine(small_config())
+        server, done, _ = self._serve_in_thread(engine)
+        sock, reader = self._connect(server)
+        sock.sendall(
+            b"".join(
+                b'{"op":"hello","id":%d}\r\n\n' % index for index in range(20)
+            )
+        )
+        ids = [json.loads(reader.readline())["id"] for _ in range(20)]
+        assert ids == list(range(20))
+        self._shutdown(sock, reader, done)
+
+    def test_unterminated_last_line_is_answered_at_eof(self):
+        engine = ServeEngine(small_config())
+        server, done, _ = self._serve_in_thread(engine)
+        sock, reader = self._connect(server)
+        sock.sendall(b'{"op":"hello","id":5}')
+        sock.shutdown(socket.SHUT_WR)
+        assert json.loads(reader.readline())["id"] == 5
+        assert reader.readline() == b""
+        reader.close()
+        sock.close()
+        self._shutdown(*self._connect(server), done)
 
     def test_paced_drain_serves_without_client_drains(self, tmp_path):
         config = small_config(

@@ -52,6 +52,35 @@ class TestOpen:
         # The failed open released its committed rate.
         assert manager.admission.committed_rate_bps == pytest.approx(1e6)
 
+    def test_admission_exception_rolls_back(self):
+        # A NaN rate passes every admission comparison and used to fail
+        # only after the SLA was recorded, blocking the flow for good.
+        manager, _ = make_manager()
+        with pytest.raises(ValueError):
+            manager.open("acme", 1, float("nan"))
+        assert manager.rejected == 1
+        assert manager.admission.admitted_count == manager.count == 0
+        assert manager.open("acme", 1, 2e6).admitted
+        assert manager.admission.admitted_count == manager.count == 1
+
+    def test_half_applied_admission_is_released(self, monkeypatch):
+        manager, _ = make_manager()
+        admission = manager.admission
+        admit = admission.admit
+
+        def admit_then_fail(sla):
+            admit(sla)
+            raise RuntimeError("lost the control-plane store")
+
+        monkeypatch.setattr(admission, "admit", admit_then_fail)
+        with pytest.raises(RuntimeError):
+            manager.open("acme", 1, 2e6)
+        assert manager.rejected == 1
+        assert admission.admitted_count == manager.count == 0
+        assert admission.committed_rate_bps == 0
+        monkeypatch.undo()
+        assert manager.open("acme", 1, 2e6).admitted
+        assert admission.admitted_count == manager.count == 1
 
 class TestClose:
     def test_close_releases_everything(self):
