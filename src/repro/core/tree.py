@@ -326,25 +326,33 @@ class MultiBitTree:
         word — the latched parents stay valid.)
 
         Returns True if a marker was removed, False if ``value`` was not
-        marked.
+        marked.  The walk touches the raw cells and charges each level's
+        :class:`AccessStats` directly (as :meth:`insert_marker_fast`
+        does): tree levels never enforce a port, so the accesses are the
+        ones ``read``/``write`` would record.
         """
-        self.fmt.check_value(value)
-        b = self.fmt.branching_factor
-        literals = self.fmt.literals(value)
+        if not (isinstance(value, int) and 0 <= value <= self._turbo_max):
+            self.fmt.check_value(value)  # raises the canonical error
+        k = self.fmt.literal_bits
+        lit_mask = (1 << k) - 1
+        shift = self._turbo_shift0
         # Collect the path (and verify presence) top-down first.
         prefix = 0
-        path: List[Tuple[int, int, int, int]] = []
-        for level, literal in enumerate(literals):
-            node = self._levels[level].read(prefix)
+        path = []
+        for cells, stats in self._turbo_walk:
+            literal = (value >> shift) & lit_mask
+            shift -= k
+            node = cells[prefix]
+            stats.reads += 1
             if not node >> literal & 1:
                 return False
-            path.append((level, prefix, literal, node))
-            prefix = prefix * b + literal
+            path.append((cells, stats, prefix, node & ~(1 << literal)))
+            prefix = (prefix << k) | literal
         # Clear bottom-up, stopping once a node stays non-empty.
-        for level, node_prefix, literal, node in reversed(path):
-            node &= ~(1 << literal)
-            self._levels[level].write(node_prefix, node)
-            if node != 0:
+        for cells, stats, node_prefix, node in reversed(path):
+            cells[node_prefix] = node
+            stats.writes += 1
+            if node:
                 break
         self._count -= 1
         return True

@@ -199,9 +199,11 @@ class ScheduleFabric:
 
     def _sync_head(self, shard: int) -> int:
         """Refresh one shard's tournament leaf and cached occupancy."""
-        store = self.stores[shard]
-        self._occupancy[shard] = len(store)
-        return self.tournament.update(shard, store.circuit.peek_min())
+        # The count and head registers, read directly: this runs after
+        # every fabric mutation.
+        storage = self.stores[shard].circuit.storage
+        self._occupancy[shard] = storage._count
+        return self.tournament.update(shard, storage._head_tag)
 
     def _track_push(self, flow_id: int) -> None:
         self._flow_live[flow_id] = self._flow_live.get(flow_id, 0) + 1

@@ -176,19 +176,24 @@ class ShardManager:
         if self.shards == 1:
             return None
         policy = self.policy
-        if sum(occupancies) < policy.rebalance_min_backlog:
-            return None
         if (
             self._last_rebalance_ops is not None
             and total_ops - self._last_rebalance_ops
             < policy.rebalance_cooldown_ops
         ):
             return None
-        hot = max(range(self.shards), key=lambda s: (occupancies[s], -s))
-        cool = min(range(self.shards), key=lambda s: (occupancies[s], s))
-        ratio = (occupancies[hot] + 1) / (occupancies[cool] + 1)
+        # The ratio test first: on a balanced fabric it is the one that
+        # fails, and this runs after every fabric operation.
+        high = max(occupancies)
+        low = min(occupancies)
+        ratio = (high + 1) / (low + 1)
         if ratio < policy.rebalance_ratio:
             return None
+        if sum(occupancies) < policy.rebalance_min_backlog:
+            return None
+        # Lowest index on ties, for both the hot and the cool shard.
+        hot = occupancies.index(high)
+        cool = occupancies.index(low)
         # Hottest flows currently pinned to the hot shard, busiest first;
         # flow id breaks ties so the plan is deterministic.
         candidates = sorted(

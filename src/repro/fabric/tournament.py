@@ -63,18 +63,6 @@ class TournamentAggregator:
             return a < b
         return (a - b) % self.space >= self._half
 
-    def _pick(self, left: Optional[int], right: Optional[int]) -> Optional[int]:
-        """Winner of two leaf indices (left always has the lower index)."""
-        if left is None:
-            return right
-        if right is None:
-            return left
-        self.comparisons += 1
-        # Tie → left, i.e. the lower shard index (FCFS across shards).
-        if self.precedes(self._tags[right], self._tags[left]):
-            return right
-        return left
-
     # ------------------------------------------------------------------
     # updates
 
@@ -89,18 +77,41 @@ class TournamentAggregator:
             raise ConfigurationError(
                 f"leaf {leaf} outside [0, {self.leaves})"
             )
-        before = self.comparisons
         self.updates += 1
-        self._tags[leaf] = tag
+        tags = self._tags
+        nodes = self._nodes
+        space = self.space
+        half = self._half
+        tags[leaf] = tag
         node = self._size + leaf
-        self._nodes[node] = leaf if tag is not None else None
-        node >>= 1
-        while node:
-            self._nodes[node] = self._pick(
-                self._nodes[2 * node], self._nodes[2 * node + 1]
-            )
+        winner = leaf if tag is not None else None
+        nodes[node] = winner
+        compared = 0
+        # Each parent's winner is the cached sibling against the winner
+        # just written below it; the left child has the lower index.
+        while node > 1:
+            other = nodes[node ^ 1]
+            if other is not None:
+                if winner is None:
+                    winner = other
+                else:
+                    compared += 1
+                    if node & 1:
+                        left, right = other, winner
+                    else:
+                        left, right = winner, other
+                    # Tie -> left, i.e. the lower shard index (FCFS
+                    # across shards).
+                    if space is None:
+                        winner = right if tags[right] < tags[left] else left
+                    elif (tags[right] - tags[left]) % space >= half:
+                        winner = right
+                    else:
+                        winner = left
             node >>= 1
-        return self.comparisons - before
+            nodes[node] = winner
+        self.comparisons += compared
+        return compared
 
     def rebuild(self, tags: List[Optional[int]]) -> None:
         """Reload every leaf at once (restore / worker-return path)."""

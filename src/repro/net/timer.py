@@ -96,12 +96,16 @@ class TimerWheel:
                 self._handles[token] = moved
 
     def _clamp_count(self) -> int:
+        """Clamped pushes so far, fabric-wide (an arm may spill)."""
         if self._fabric:
-            return sum(s.clamped_inserts for s in self.backend.stores)
+            total = 0
+            for store in self.backend.stores:
+                total += store.clamped_inserts
+            return total
         return self.backend.clamped_inserts
 
     def _effective_deadline(
-        self, requested: float, before: int, handle: int
+        self, requested: float, clamped: bool, handle: int
     ) -> float:
         """Requested deadline, lifted to the head's if the push clamped.
 
@@ -111,7 +115,7 @@ class TimerWheel:
         ledger, not its exact tag: a head that was itself clamped sits
         above its requested deadline, and the lift must chain.
         """
-        if self._clamp_count() > before:
+        if clamped:
             if self._fabric:
                 shard, _ = self.backend.handle_location(handle)
                 head = self.backend.stores[shard].peek_min_exact()
@@ -144,7 +148,7 @@ class TimerWheel:
         self._handles[token] = handle
         self._ids[token] = timer_id
         self._effective[token] = self._effective_deadline(
-            deadline, before, handle
+            deadline, self._clamp_count() > before, handle
         )
         self.armed += 1
         return token
@@ -167,11 +171,18 @@ class TimerWheel:
         handle = self._handles.get(token)
         if handle is None:
             raise ProtocolError(f"timer token {token} is not armed")
-        before = self._clamp_count()
+        # A repin never leaves its shard, and backlog migration never
+        # clamps, so only the owning store's clamp count can move.
+        if self._fabric:
+            shard, _ = self.backend.handle_location(handle)
+            store = self.backend.stores[shard]
+        else:
+            store = self.backend
+        before = store.clamped_inserts
         new_handle = self.backend.retag(handle, new_deadline)
         self._handles[token] = new_handle
         self._effective[token] = self._effective_deadline(
-            new_deadline, before, new_handle
+            new_deadline, store.clamped_inserts > before, new_handle
         )
         self.repinned += 1
         return token

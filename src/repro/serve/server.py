@@ -63,6 +63,8 @@ MAX_PACKET_BYTES = 1500
 #: longest request line the transport buffers (newline excluded); a
 #: longer line is answered with one error and skipped through its newline
 MAX_LINE_BYTES = 64 * 1024
+#: size of the one read buffer each connection owns for its lifetime
+READ_BUFFER_BYTES = 64 * 1024
 
 
 def derive_granularity(
@@ -581,20 +583,26 @@ class ServeEngine:
         self.system.close()
 
 
-class _LineProtocol(asyncio.Protocol):
+class _LineProtocol(asyncio.BufferedProtocol):
     """One client connection: split request lines, write responses.
 
-    Lines are cut in :meth:`data_received` and each is answered with a
-    single ``transport.write`` — no per-request coroutine, stream
-    reader, or drain await.  Flow control rides on the transport: while
-    the client leaves responses unread past the write buffer's high
-    mark, reading pauses, so a pipelining client cannot grow the
-    server's buffers without bound.
+    Every socket read lands in one preallocated buffer per connection
+    (:meth:`get_buffer`), and the filled bytes are split into lines in
+    :meth:`buffer_updated`.  A plain ``Protocol`` would have the
+    transport allocate a fresh 256 KiB block per read, which the
+    allocator may serve with ``mmap``/``munmap`` and page faults on
+    every request.  Each line is answered with a single
+    ``transport.write`` — no per-request coroutine, stream reader, or
+    drain await.  Flow control rides on the transport: while the client
+    leaves responses unread past the write buffer's high mark, reading
+    pauses, so a pipelining client cannot grow the server's buffers
+    without bound.
     """
 
     def __init__(self, server: "WfqServer") -> None:
         self._server = server
         self._transport: Optional[asyncio.Transport] = None
+        self._buffer = memoryview(bytearray(READ_BUFFER_BYTES))
         self._pending = b""
         #: inside an overlong line already answered; drop to its newline
         self._discarding = False
@@ -617,7 +625,12 @@ class _LineProtocol(asyncio.Protocol):
         if self._transport is not None:
             self._transport.close()
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self._buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        # Copied out: the next read overwrites the buffer.
+        data = self._buffer[:nbytes].tobytes()
         pending = self._pending + data if self._pending else data
         start = 0
         while not self._transport.is_closing():
