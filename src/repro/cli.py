@@ -14,7 +14,7 @@ Regenerates any of the paper's evaluation artifacts without pytest:
 ``python -m repro obs`` runs a traced telemetry soak (see
 :mod:`repro.obs.runner`), ``python -m repro fabric`` runs a traced soak
 through the sharded scheduling fabric (see :mod:`repro.fabric.runner`:
-``--shards``, ``--workers``, ``--monitor``, ``--checkpoint``), and
+``--shards``, ``--monitor``, ``--checkpoint``), and
 ``python -m repro analyze`` runs trace forensics over archived JSONL
 traces (see :mod:`repro.obs.analyze`: ``profile``, ``check``, ``diff``,
 ``timeline``), and ``python -m repro timer`` runs a timer-wheel workload

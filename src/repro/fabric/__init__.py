@@ -19,8 +19,6 @@ point (the PIFO line).
 * :mod:`repro.fabric.fabric` — :class:`ScheduleFabric`: the facade
   wiring shards, tournament, manager, telemetry, and
   checkpoint/restore together;
-* :mod:`repro.fabric.workers` — the optional process-parallel batch
-  backend built on the circuit state snapshots;
 * :mod:`repro.fabric.runner` — the ``python -m repro fabric`` driver
   (imported lazily by the CLI).
 """

@@ -9,13 +9,12 @@ the event stream reconcile exactly with the per-structure totals summed
 over every shard's ``StatsRegistry``.
 
 Beyond the :mod:`repro.obs.runner` contract it adds the fabric-specific
-switches: ``--shards``/``--flows`` shape the partition, ``--workers``
-fans batched enqueues out to a process pool, ``--monitor`` screens the
-interleaved multi-store trace through the per-component invariant
-monitors, and ``--checkpoint FILE`` snapshots the whole fabric mid-soak,
-restores a second fabric from the JSON file, and replays the remaining
-operations on both — the run fails unless the service sequences match
-element for element.
+switches: ``--shards``/``--flows`` shape the partition, ``--monitor``
+screens the interleaved multi-store trace through the per-component
+invariant monitors, and ``--checkpoint FILE`` snapshots the whole fabric
+mid-soak, restores a second fabric from the JSON file, and replays the
+remaining operations on both — the run fails unless the service
+sequences match element for element.
 
 Kept out of :mod:`repro.fabric`'s eager imports (it pulls in the bench
 layer) — the CLI imports it lazily.
@@ -56,7 +55,6 @@ class FabricRun:
     seed: int
     batched: bool
     served: int
-    workers: int = 0
     monitors: Optional[MonitorSuite] = None
     checkpoint: Optional[Dict] = None
     live: Optional[Dict] = None
@@ -118,8 +116,7 @@ class FabricRun:
     @property
     def reconciled(self) -> bool:
         """True when every shard-registry access is attributed to an
-        event — including those performed in worker processes, whose
-        deltas ride home on the ``shard_enqueue`` events."""
+        event."""
         traced = self.tracer.attributed_totals()
         for name, stats in self.registry_totals.items():
             mine = traced.get(name)
@@ -148,8 +145,6 @@ class FabricRun:
                 for component, total in by_component.items()
             )
             notes.append(f"attribution by shard: {parts}")
-        if self.workers:
-            notes.append(f"workers: {self.workers}-process enqueues")
         if self.checkpoint is not None:
             verdict = (
                 "identical"
@@ -226,7 +221,6 @@ class FabricRun:
                 "rebalances": manager.rebalance_count,
                 "flows_moved": manager.flows_moved,
                 "tournament_comparisons": self.fabric.tournament.comparisons,
-                "workers": self.workers,
                 "cycles_makespan": self.fabric.cycles,
                 "cycles_total": self.fabric.cycles_total,
             },
@@ -283,9 +277,7 @@ def run_fabric_soak(
     flows: int = 256,
     granularity: float = 8.0,
     batched: bool = False,
-    turbo: bool = False,
     mode: Optional[str] = None,
-    workers: int = 0,
     trace_sink: Optional[str] = None,
     buffer_size: int = 65536,
     monitor: bool = False,
@@ -301,12 +293,10 @@ def run_fabric_soak(
     """Drive a traced fabric soak and return its telemetry.
 
     ``batched=True`` exercises the coalesced paths (grouped per-shard
-    inserts, fence-bounded tournament drains); ``workers`` additionally
-    fans the batched enqueue groups out to that many processes via the
-    checkpoint API.  ``monitor=True`` screens the interleaved
-    multi-store event stream through the per-component invariant
-    monitors (every shard's config is identical, so shard 0's circuit
-    parameterizes the suite).
+    inserts, fence-bounded tournament drains).  ``monitor=True`` screens
+    the interleaved multi-store event stream through the per-component
+    invariant monitors (every shard's config is identical, so shard 0's
+    circuit parameterizes the suite).
 
     ``checkpoint_path`` splits the soak in half: the fabric is
     snapshotted to that file mid-run, a second fabric is restored from
@@ -324,12 +314,12 @@ def run_fabric_soak(
     per-shard inversion-budget SLO rule on top of the auditor: any
     single shard exceeding that many rank inversions flips ``/health``
     to a breach attributed to the culprit shard.
-    ``watchdog_timeout`` arms a progress watchdog — with a worker pool,
-    a hung ``pool.map`` stops the summed-registry progress reading and
-    the collector thread declares the stall (no per-op heartbeat on the
-    hot path).  ``flight_path`` arms the flight recorder.
+    ``watchdog_timeout`` arms a progress watchdog — when the
+    summed-registry progress reading stops, the collector thread
+    declares the stall (no per-op heartbeat on the hot path).
+    ``flight_path`` arms the flight recorder.
     """
-    mode = resolve_mode(mode, turbo)
+    mode = resolve_mode(mode)
     probes = StandardProbes()
     tracer = Tracer(
         buffer_size=buffer_size, sink=trace_sink, observers=[probes]
@@ -357,8 +347,6 @@ def run_fabric_soak(
             fabric.stores[0].circuit, tracer=tracer
         )
         tracer.add_observer(suite)
-    if workers:
-        fabric.use_workers(workers)
 
     flight: Optional[FlightRecorder] = None
     if flight_path is not None:
@@ -419,7 +407,6 @@ def run_fabric_soak(
                     "shards": fabric.shards,
                     "pushes": fabric.pushes,
                     "pops": fabric.pops,
-                    "workers": workers,
                 }
             },
         )
@@ -430,31 +417,27 @@ def run_fabric_soak(
     checkpoint_doc: Optional[Dict] = None
     live_summary: Optional[Dict] = None
     try:
-        # The fabric context manager reaps the worker pool: a clean
-        # exit closes it, an exception terminates it, so crashed soaks
-        # never leak OS processes.
-        with fabric:
-            if checkpoint_path:
-                split = len(stream) // 2
-                served = drive(fabric, stream[:split])
-                state = fabric.to_state()
-                with open(checkpoint_path, "w", encoding="utf-8") as handle:
-                    json.dump(state, handle)
-                    handle.write("\n")
-                with open(checkpoint_path, "r", encoding="utf-8") as handle:
-                    restored = ScheduleFabric.from_state(json.load(handle))
-                tail = stream[split:]
-                resumed = drive(fabric, tail)
-                served.extend(resumed)
-                replayed = drive(restored, tail)
-                checkpoint_doc = {
-                    "path": checkpoint_path,
-                    "ops_at_checkpoint": split,
-                    "resumed_ops": len(tail),
-                    "resumed_match": replayed == resumed,
-                }
-            else:
-                served = drive(fabric, stream)
+        if checkpoint_path:
+            split = len(stream) // 2
+            served = drive(fabric, stream[:split])
+            state = fabric.to_state()
+            with open(checkpoint_path, "w", encoding="utf-8") as handle:
+                json.dump(state, handle)
+                handle.write("\n")
+            with open(checkpoint_path, "r", encoding="utf-8") as handle:
+                restored = ScheduleFabric.from_state(json.load(handle))
+            tail = stream[split:]
+            resumed = drive(fabric, tail)
+            served.extend(resumed)
+            replayed = drive(restored, tail)
+            checkpoint_doc = {
+                "path": checkpoint_path,
+                "ops_at_checkpoint": split,
+                "resumed_ops": len(tail),
+                "resumed_match": replayed == resumed,
+            }
+        else:
+            served = drive(fabric, stream)
     finally:
         if plane is not None:
             if serve_linger > 0:
@@ -472,7 +455,6 @@ def run_fabric_soak(
         seed=seed,
         batched=batched,
         served=len(served),
-        workers=workers,
         monitors=suite,
         checkpoint=checkpoint_doc,
         live=live_summary,
@@ -517,30 +499,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="use the coalesced paths (grouped inserts, fenced drains)",
     )
     parser.add_argument(
-        "--turbo",
-        action="store_true",
-        help=(
-            "run every shard circuit on the access-fused turbo engine "
-            "(identical service order and accounting, faster wall clock)"
-        ),
-    )
-    parser.add_argument(
         "--mode",
         choices=tuple(VALID_MODES),
         default=None,
-        help=(
-            "shard circuit engine (gate/turbo/vector); wins over "
-            "--turbo when both are given"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help=(
-            "fan batched enqueues out to this many processes "
-            "(0 = in-process; implies --batched semantics for enqueues)"
-        ),
+        help="shard circuit engine (gate/turbo/vector)",
     )
     parser.add_argument(
         "--trace", metavar="FILE", help="stream the JSONL event trace here"
@@ -628,7 +590,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         metavar="SECONDS",
         help=(
             "declare a stall when the summed per-shard progress "
-            "reading stops for this long (catches hung worker pools)"
+            "reading stops for this long"
         ),
     )
     parser.add_argument(
@@ -649,17 +611,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    batched = args.batched or args.workers > 0
     run = run_fabric_soak(
         ops=args.ops,
         seed=args.seed,
         shards=args.shards,
         flows=args.flows,
         granularity=args.granularity,
-        batched=batched,
-        turbo=args.turbo,
+        batched=args.batched,
         mode=args.mode,
-        workers=args.workers,
         trace_sink=args.trace,
         buffer_size=args.buffer_size,
         monitor=args.monitor,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..core.words import PAPER_FORMAT, WordFormat
-from ..hwsim.errors import ConfigurationError, ProtocolError
+from ..hwsim.errors import ConfigurationError
 from ..sched.packet import Packet
 from .scheduler_system import DEFAULT_CLOCK_HZ, HardwareWFQSystem
 
@@ -58,7 +58,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         partition_policy: str = "hash",
         flow_space: int = 1024,
         policy: Optional["FabricPolicy"] = None,
-        workers: int = 0,
         tracer=None,
     ) -> None:
         if shards < 1:
@@ -78,7 +77,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         self._partition_policy = partition_policy
         self._flow_space = flow_space
         self._policy = policy
-        self._workers = workers
 
     @property
     def store(self) -> "ScheduleFabric":  # type: ignore[override]
@@ -111,8 +109,6 @@ class FabricSchedulerSystem(HardwareWFQSystem):
                 policy=self._policy,
                 tracer=self._tracer,
             )
-            if self._workers:
-                fabric.use_workers(self._workers)
             self._store = fabric  # type: ignore[assignment]
         return self._store  # type: ignore[return-value]
 
@@ -135,9 +131,10 @@ class FabricSchedulerSystem(HardwareWFQSystem):
             return None
         try:
             return self.store.push(tags.finish_tag, packet.flow_id, pointer)
-        except ProtocolError:
-            # Span-guard refusal: release the slot, keep the buffer's
-            # occupancy accounting exact (no orphaned packets).
+        except Exception:
+            # Span-guard refusal or a flow id the partitioner rejects:
+            # release the slot, keep the buffer's occupancy accounting
+            # exact (no orphaned packets).
             self.buffer.fetch(pointer)
             raise
 
@@ -195,8 +192,3 @@ class FabricSchedulerSystem(HardwareWFQSystem):
         makespan cycles.
         """
         return self.shards * self.clock_hz / 4.0
-
-    def close(self) -> None:
-        """Release the worker pool, if one is attached."""
-        if self._store is not None:
-            self._store.close_workers()

@@ -17,9 +17,8 @@ lossy-trace gate accepts it.
 :class:`StallWatchdog` is the liveness half: it watches a *progress
 reading* (registry grand total, fabric operation count) sampled by the
 live collector thread and declares a stall when the reading stops
-changing for longer than the timeout — which catches a hung
-multiprocessing worker pool without adding any per-operation cost to
-the hot path.
+changing for longer than the timeout — which catches a hung run
+without adding any per-operation cost to the hot path.
 """
 
 from __future__ import annotations
@@ -251,8 +250,8 @@ class StallWatchdog:
     progress) and trigger a flight-recorder dump.
 
     A recovery (the reading moves again) clears :attr:`stalled` but
-    keeps :attr:`stall_count` — a worker pool that hiccups repeatedly is
-    worth knowing about even if every hiccup eventually clears.
+    keeps :attr:`stall_count` — a run that hiccups repeatedly is worth
+    knowing about even if every hiccup eventually clears.
     """
 
     def __init__(

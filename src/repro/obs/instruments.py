@@ -560,8 +560,7 @@ class InstrumentSet:
         Label-aware and exact for counters (sums) and histograms
         (bucket-exact merges); gauges add levels with a conservative
         extreme envelope (see :meth:`Gauge.merge`).  This is the
-        aggregation step for telemetry shipped home from worker
-        processes or sibling shards.
+        aggregation step for telemetry from sibling shards.
         """
         for name, family in other._families.items():
             kind = other._kinds[name]

@@ -17,7 +17,7 @@ ledger three ways:
   standard flamegraph tooling;
 * **per-shard** (:attr:`Profile.shards`): cost rolled up by each
   event's ``component`` attr (``shard0``, ``shard1``, ``fabric``, ...),
-  so a sharded or ``--workers`` trace answers *which shard* spent the
+  so a sharded trace answers *which shard* spent the
   accesses; empty for unstamped traces.
 
 Worst-case forensics (:meth:`Profile.worst_cases`) ranks the top-K most

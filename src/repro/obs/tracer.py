@@ -83,12 +83,6 @@ class NullTracer:
     ) -> Dict[str, Dict[str, AccessStats]]:
         return {}
 
-    def ingest(
-        self, records: Iterable[Any], *, component: Optional[str] = None
-    ) -> List[TraceEvent]:
-        """Discard foreign events."""
-        return []
-
     def write_header(self, header: Dict[str, Any]) -> None:
         """Discard the header."""
 
@@ -162,11 +156,6 @@ class ComponentTracer:
         self,
     ) -> Dict[str, Dict[str, AccessStats]]:
         return self._inner.attributed_totals_by_component()
-
-    def ingest(self, records: Iterable[Any], **kwargs: Any) -> List[TraceEvent]:
-        """Ingest foreign events, defaulting them to this view's component."""
-        kwargs.setdefault("component", self.component)
-        return self._inner.ingest(records, **kwargs)
 
     def flush(self) -> None:
         """No-op: the inner tracer's owner flushes it."""
@@ -408,72 +397,6 @@ class Tracer:
         return event
 
     # ------------------------------------------------------------------
-    # cross-process ingestion
-
-    def _mapped_span(self, span_map: Dict[int, int], old: Optional[int]) -> Optional[int]:
-        """Resolve a foreign span id into this tracer's id space."""
-        if old is None:
-            return None
-        fresh = span_map.get(old)
-        if fresh is None:
-            fresh = span_map[old] = self._next_span_id
-            self._next_span_id += 1
-        return fresh
-
-    def ingest(
-        self,
-        records: Iterable[Any],
-        *,
-        component: Optional[str] = None,
-    ) -> List[TraceEvent]:
-        """Re-emit serialized foreign events as native ones.
-
-        Worker processes trace into a private ring and ship
-        ``event.to_dict()`` records home (see
-        :mod:`repro.fabric.workers`); those carry the worker tracer's
-        seq/span ids.  Each record is re-emitted here with a fresh seq,
-        its span ids remapped into this tracer's id space (children can
-        arrive before their span-close event — ids are allocated on
-        first sight), and ``component`` stamped in when the record has
-        none.  Foreign top-level events are parented under the currently
-        open span, and their deltas are absorbed by it, so the merged
-        trace reconciles exactly as if the events had been emitted in
-        process.
-        """
-        span_map: Dict[int, int] = {}
-        ingested: List[TraceEvent] = []
-        for record in records:
-            event = (
-                TraceEvent.from_dict(record)
-                if isinstance(record, dict)
-                else record
-            )
-            attrs = dict(event.attrs)
-            if component is not None:
-                attrs.setdefault("component", component)
-            if attrs.get("span") is not None:
-                attrs["span"] = self._mapped_span(span_map, attrs["span"])
-            if event.span_id is not None:
-                span_id = self._mapped_span(span_map, event.span_id)
-            else:
-                span_id = self._stack[-1].span_id if self._stack else None
-            if event.deltas and self._stack:
-                self._stack[-1]._absorb(event.deltas)
-            ingested.append(
-                self._emit(
-                    TraceEvent(
-                        seq=self._seq,
-                        kind=event.kind,
-                        name=event.name,
-                        span_id=span_id,
-                        deltas=event.deltas,
-                        attrs=attrs,
-                    )
-                )
-            )
-        return ingested
-
-    # ------------------------------------------------------------------
     # sink management
 
     def _ensure_sink(self) -> Optional[IO[str]]:
@@ -590,11 +513,10 @@ class Tracer:
     ) -> Dict[str, Dict[str, AccessStats]]:
         """Per-structure traffic split by each event's ``component`` attr.
 
-        Only events stamped with a component (shard views, ingested
-        worker events) contribute; the unstamped remainder is
-        :meth:`attributed_totals` minus the sum of these.  Maintained
-        incrementally like the grand totals, so exact under ring
-        eviction.
+        Only events stamped with a component (shard views) contribute;
+        the unstamped remainder is :meth:`attributed_totals` minus the
+        sum of these.  Maintained incrementally like the grand totals,
+        so exact under ring eviction.
         """
         return {
             component: {

@@ -65,12 +65,22 @@ def restore_state(engine, state: Dict[str, Any]) -> None:
     The engine must have been constructed from the same
     :class:`~repro.serve.server.ServeConfig` the snapshot recorded —
     the scheduling-relevant fields are cross-checked here, and each
-    component's own ``load_state`` validates its geometry.
+    component's own ``load_state`` validates its geometry.  A snapshot
+    with missing or mistyped records raises :class:`ConfigurationError`.
     """
     if state.get("kind") != SNAPSHOT_KIND:
         raise ConfigurationError(
             f"not a serve snapshot: kind={state.get('kind')!r}"
         )
+    try:
+        _load_components(engine, state)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise ConfigurationError(
+            f"malformed serve snapshot: {type(exc).__name__}: {exc}"
+        ) from exc
+
+
+def _load_components(engine, state: Dict[str, Any]) -> None:
     recorded = state["config"]
     current = engine.config.to_dict()
     for field in (
@@ -132,10 +142,23 @@ def write_snapshot(path: str, state: Dict[str, Any]) -> None:
 
 
 def read_snapshot(path: str) -> Dict[str, Any]:
-    """Load and sanity-check one snapshot file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        state = json.load(handle)
-    if not isinstance(state, dict) or state.get("kind") != SNAPSHOT_KIND:
+    """Load and sanity-check one snapshot file.
+
+    A missing, unreadable, truncated, or non-snapshot file raises
+    :class:`ConfigurationError`.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            state = json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(
+            f"cannot read snapshot {path}: {exc}"
+        ) from exc
+    if (
+        not isinstance(state, dict)
+        or state.get("kind") != SNAPSHOT_KIND
+        or not isinstance(state.get("config"), dict)
+    ):
         raise ConfigurationError(f"{path} is not a serve snapshot")
     return state
 

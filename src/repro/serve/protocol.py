@@ -72,6 +72,11 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_flow(value: Any) -> bool:
+    """A flow id: a non-negative int (the partitioner's domain)."""
+    return _is_int(value) and value >= 0
+
+
 #: verb → (required fields, optional fields); each maps name → checker
 VERBS: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {
     # control plane
@@ -79,7 +84,7 @@ VERBS: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {
     "open": (
         {
             "tenant": lambda v: isinstance(v, str) and bool(v),
-            "flow": _is_int,
+            "flow": _is_flow,
             "rate_bps": _is_number,
         },
         {
@@ -88,9 +93,9 @@ VERBS: Dict[str, Tuple[Dict[str, Any], Dict[str, Any]]] = {
             "delay_target_s": _is_number,
         },
     ),
-    "close": ({"flow": _is_int}, {}),
+    "close": ({"flow": _is_flow}, {}),
     # data plane
-    "enqueue": ({"flow": _is_int, "size": _is_int}, {}),
+    "enqueue": ({"flow": _is_flow, "size": _is_int}, {}),
     "cancel": ({"handle": _is_int}, {}),
     "reschedule": ({"handle": _is_int, "tag": _is_number}, {}),
     "drain": ({"count": _is_int}, {}),

@@ -107,7 +107,6 @@ class ServeConfig:
     utilization_limit: float = 0.95
     turbo: bool = True
     mode: Optional[str] = None
-    workers: int = 0
     scheme: str = "shared"
     mark_fraction: float = 0.65
     reject_fraction: float = 0.9
@@ -137,7 +136,6 @@ class ServeConfig:
         "utilization_limit",
         "turbo",
         "mode",
-        "workers",
         "scheme",
         "mark_fraction",
         "reject_fraction",
@@ -167,13 +165,22 @@ class ServeConfig:
         return asdict(self)
 
     def adopt_scheduling_fields(self, recorded: Dict[str, Any]) -> None:
-        """Take the snapshot's scheduling fields (restore path)."""
+        """Take the snapshot's scheduling fields (restore path).
+
+        Recorded fields outside :attr:`SCHEDULING_FIELDS` (``workers``,
+        frozen by older snapshots) are ignored; a missing one is a
+        :class:`ConfigurationError`.
+        """
         for name in self.SCHEDULING_FIELDS:
             if name == "mode" and name not in recorded:
                 # Pre-engine snapshots froze only the turbo bool.
                 value = "turbo" if recorded.get("turbo", True) else "gate"
-            else:
+            elif name in recorded:
                 value = recorded[name]
+            else:
+                raise ConfigurationError(
+                    f"snapshot config lacks the {name!r} field"
+                )
             setattr(self, name, value)
         self.turbo = self.mode == "turbo"
 
@@ -197,7 +204,6 @@ class ServeEngine:
             granularity=self.granularity,
             buffer_capacity=config.buffer_capacity,
             mode=config.mode,
-            workers=config.workers,
             tracer=tracer,
         )
         self.admission = AdmissionController(
@@ -576,11 +582,10 @@ class ServeEngine:
         lifecycle.restore_state(self, state)
 
     def close(self) -> None:
-        """Release resources (worker pool, serve log)."""
+        """Release resources (the serve log)."""
         if self._serve_log is not None:
             self._serve_log.close()
             self._serve_log = None
-        self.system.close()
 
 
 class _LineProtocol(asyncio.BufferedProtocol):
@@ -971,9 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="turbo",
         help="circuit engine",
     )
-    parser.add_argument(
-        "--workers", type=int, default=0, help="fabric worker processes"
-    )
     parser.add_argument("--scheme", choices=SCHEMES, default="shared")
     parser.add_argument("--mark-fraction", type=float, default=0.65)
     parser.add_argument("--reject-fraction", type=float, default=0.9)
@@ -1030,7 +1032,6 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
         min_rate_bps=args.min_rate,
         utilization_limit=args.utilization,
         mode=args.mode,
-        workers=args.workers,
         scheme=args.scheme,
         mark_fraction=args.mark_fraction,
         reject_fraction=args.reject_fraction,
@@ -1054,15 +1055,19 @@ def config_from_args(args: argparse.Namespace) -> ServeConfig:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     config = config_from_args(args)
-    state = None
     if args.restore:
-        state = lifecycle.read_snapshot(args.restore)
-        # The snapshot's scheduling fields win: a restored server must
-        # resume exactly the system it snapshotted.
-        config.adopt_scheduling_fields(state["config"])
-    engine = ServeEngine(config)
-    if state is not None:
-        engine.restore(state)
+        try:
+            state = lifecycle.read_snapshot(args.restore)
+            # The snapshot's scheduling fields win: a restored server
+            # must resume exactly the system it snapshotted.
+            config.adopt_scheduling_fields(state["config"])
+            engine = ServeEngine(config)
+            engine.restore(state)
+        except ConfigurationError as exc:
+            print(f"repro serve: cannot restore: {exc}", file=sys.stderr)
+            return 2
+    else:
+        engine = ServeEngine(config)
     server = WfqServer(engine)
     try:
         return asyncio.run(server.serve())

@@ -137,7 +137,7 @@ def test_flight_recorder_dumps_on_fabric_fault(tmp_path, monkeypatch):
 
 
 def test_per_shard_attribution_in_document():
-    run = run_fabric_soak(ops=1500, shards=3, workers=2, batched=True)
+    run = run_fabric_soak(ops=1500, shards=3, batched=True)
     document = run.to_document()
     by_component = document["reconciliation"]["by_component"]
     assert {"shard0", "shard1", "shard2"} <= set(by_component)
@@ -155,8 +155,7 @@ def test_labeled_series_in_prometheus_metrics(tmp_path):
             "1200",
             "--shards",
             "3",
-            "--workers",
-            "2",
+            "--batched",
             "--metrics",
             str(metrics),
             "--output",

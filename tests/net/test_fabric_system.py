@@ -75,15 +75,20 @@ def test_shard_capacity_covers_buffer_share():
     assert system.store.capacity_per_shard == 2048
 
 
+def test_refused_push_releases_its_buffer_slot():
+    """Any exception from the fabric (here the partitioner refusing a
+    negative flow id) hands the stored packet's slot back."""
+    system = FabricSchedulerSystem(1e9, shards=2)
+    system.add_flow(-5)
+    for index in range(3):
+        packet = Packet(flow_id=-5, size_bytes=100, arrival_time=index)
+        with pytest.raises(ConfigurationError):
+            system.enqueue(packet, float(index))
+    assert system.buffer.occupancy == 0
+    assert len(system.store) == 0
+
+
 def test_rejects_zero_shards():
     with pytest.raises(ConfigurationError):
         FabricSchedulerSystem(1e9, shards=0)
 
-
-def test_close_releases_worker_pool():
-    system = register_flows(FabricSchedulerSystem(1e9, shards=2, workers=2))
-    arrivals = make_arrivals(300, 3)
-    system.enqueue_batch(arrivals)
-    assert system.store.workers == 2
-    system.close()
-    assert system.store.workers == 0

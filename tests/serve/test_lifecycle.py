@@ -7,7 +7,7 @@ import pytest
 
 from repro.hwsim.errors import ConfigurationError
 from repro.serve import lifecycle
-from repro.serve.server import ServeConfig, ServeEngine
+from repro.serve.server import ServeConfig, ServeEngine, main as serve_main
 
 
 def small_config(**overrides):
@@ -147,6 +147,75 @@ class TestDiskFormat:
             json.dump({"kind": "other"}, handle)
         with pytest.raises(ConfigurationError):
             lifecycle.read_snapshot(path)
+
+
+    def test_read_rejects_truncated_snapshot(self, tmp_path):
+        engine = loaded_engine()
+        path = str(tmp_path / "snap.json")
+        lifecycle.write_snapshot(path, lifecycle.capture_state(engine))
+        engine.close()
+        with open(path, "r+", encoding="utf-8") as handle:
+            handle.truncate(os.path.getsize(path) // 2)
+        with pytest.raises(ConfigurationError):
+            lifecycle.read_snapshot(path)
+
+
+class TestRestoreCommand:
+    """``repro serve --restore`` on a bad file: one clean error line and
+    a non-zero exit, never a traceback."""
+
+    def restore_fails(self, path, capsys):
+        status = serve_main(["--port", "0", "--restore", path])
+        err = capsys.readouterr().err
+        assert status != 0
+        assert err.startswith("repro serve: cannot restore:")
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_truncated_file(self, tmp_path, capsys):
+        path = tmp_path / "snap.json"
+        path.write_text('{"kind": "serve_snapshot", "config": {"link_r')
+        self.restore_fails(str(path), capsys)
+
+    def test_missing_config_fields(self, tmp_path, capsys):
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps({"kind": "serve_snapshot", "config": {}}))
+        self.restore_fails(str(path), capsys)
+
+    def test_missing_component_records(self, tmp_path, capsys):
+        engine = loaded_engine()
+        state = lifecycle.capture_state(engine)
+        engine.close()
+        del state["system"]
+        path = tmp_path / "snap.json"
+        path.write_text(json.dumps(state))
+        self.restore_fails(str(path), capsys)
+
+    def test_missing_file(self, tmp_path, capsys):
+        self.restore_fails(str(tmp_path / "absent.json"), capsys)
+
+
+def test_snapshot_with_workers_field_restores_identically():
+    """Snapshots written while the config still froze a ``workers``
+    count restore in process and continue with identical service."""
+    engine = loaded_engine()
+    state = json.loads(json.dumps(lifecycle.capture_state(engine)))
+    state["config"]["workers"] = 2
+    config = small_config()
+    config.adopt_scheduling_fields(state["config"])
+    fresh = ServeEngine(config)
+    fresh.restore(state)
+    tail = [
+        {"op": "enqueue", "flow": index % 8, "size": 300 + index}
+        for index in range(40)
+    ]
+    tail.append({"op": "drain", "count": 10_000})
+    for request in tail:
+        assert engine.handle_request(request) == fresh.handle_request(
+            request
+        )
+    engine.close()
+    fresh.close()
 
 
 class TestSnapshotPolicy:

@@ -213,6 +213,25 @@ class TestEngineVerbs:
         assert engine.counters["errors"] == 1
         engine.close()
 
+    def test_negative_flow_is_rejected_without_leaking_a_slot(self):
+        """A negative flow id is a validation error on every verb that
+        names a flow: no rate is committed and no buffer slot is held."""
+        engine = ServeEngine(small_config())
+        for request in (
+            {"op": "open", "tenant": "t", "flow": -5, "rate_bps": 2e6},
+            {"op": "enqueue", "flow": -5, "size": 100},
+            {"op": "enqueue", "flow": -5, "size": 100},
+            {"op": "close", "flow": -5},
+        ):
+            response = engine.handle_request(request)
+            assert not response["ok"]
+            assert "'flow'" in response["reason"]
+        stats = engine.stats()
+        assert stats["buffer"]["occupancy"] == 0
+        assert stats["admission"]["committed_rate_bps"] == 0
+        assert engine.counters["errors"] == 4
+        engine.close()
+
     def test_stats_document_shape(self):
         engine = opened_engine()
         stats = engine.handle_request({"op": "stats"})["stats"]
